@@ -2,9 +2,7 @@ package main
 
 import (
 	"context"
-	"encoding/json"
 	"fmt"
-	"os"
 	"time"
 
 	"mca/internal/loadgen"
@@ -217,11 +215,7 @@ func expAttrib(rep *report) error {
 				"budget_pct":   5,
 			},
 		}
-		data, err := json.MarshalIndent(out, "", "  ")
-		if err != nil {
-			return err
-		}
-		if err := os.WriteFile(attribJSONPath, append(data, '\n'), 0o644); err != nil {
+		if err := writeBenchJSON(attribJSONPath, out); err != nil {
 			return err
 		}
 		rep.rowf("  wrote %s", attribJSONPath)

@@ -2,9 +2,7 @@ package main
 
 import (
 	"context"
-	"encoding/json"
 	"fmt"
-	"os"
 	"time"
 
 	"mca/internal/loadgen"
@@ -131,11 +129,7 @@ func expCapacity(rep *report) error {
 	rep.check("capacity report validates (both backends, nonzero capacity)", true)
 
 	if capacityJSONPath != "" {
-		data, err := json.MarshalIndent(out, "", "  ")
-		if err != nil {
-			return err
-		}
-		if err := os.WriteFile(capacityJSONPath, append(data, '\n'), 0o644); err != nil {
+		if err := writeBenchJSON(capacityJSONPath, out); err != nil {
 			return err
 		}
 		rep.rowf("  wrote %s", capacityJSONPath)

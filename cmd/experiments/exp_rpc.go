@@ -1,10 +1,9 @@
 package main
 
 import (
+	"cmp"
 	"context"
-	"encoding/json"
 	"fmt"
-	"os"
 	"time"
 
 	"mca/internal/dist"
@@ -16,7 +15,8 @@ import (
 )
 
 // rpcJSONPath, when set by the -rpcjson flag, receives the E24
-// measurement as BENCH_rpc.json.
+// measurement as BENCH_rpc.json. The frozen "before" column is read from
+// it (default BENCH_rpc.json in the working directory).
 var rpcJSONPath string
 
 // echoPayload is the representative small request body: roughly what a
@@ -35,16 +35,9 @@ type rpcPair struct {
 	target *tcpnet.Endpoint
 }
 
-// newRPCPair builds the pair. fast selects the new data plane (binary
-// codec + coalescing writer); !fast is the pre-PR baseline (JSON
-// envelopes, one write syscall per datagram).
-func newRPCPair(fast bool) (*rpcPair, error) {
+// newRPCPair builds the pair.
+func newRPCPair() (*rpcPair, error) {
 	nw := tcpnet.NewNetwork()
-	codec := rpc.CodecBinary
-	if !fast {
-		nw.SetDirectWrite(true)
-		codec = rpc.CodecJSON
-	}
 	epS, err := nw.Listen("127.0.0.1:0")
 	if err != nil {
 		return nil, err
@@ -54,7 +47,7 @@ func newRPCPair(fast bool) (*rpcPair, error) {
 		epS.Close()
 		return nil, err
 	}
-	opts := rpc.Options{RetryInterval: 50 * time.Millisecond, CallTimeout: 10 * time.Second, Codec: codec}
+	opts := rpc.Options{RetryInterval: 50 * time.Millisecond, CallTimeout: 10 * time.Second}
 	p := &rpcPair{nw: nw, target: epS}
 	p.server = rpc.NewPeerOn(epS, opts)
 	p.caller = rpc.NewPeerOn(epC, opts)
@@ -65,13 +58,21 @@ func newRPCPair(fast bool) (*rpcPair, error) {
 }
 
 // expRPCThroughput is E24: RPC call throughput over real sockets with
-// the binary envelope codec and coalescing writer versus the JSON
-// envelope / write-per-datagram baseline, plus the allocation and
-// syscall accounting behind the win, and the E23 commit workload
-// rerun over TCP end to end.
+// the binary envelope codec and coalescing writer, against the frozen
+// JSON-envelope / write-per-datagram column of BENCH_rpc.json (those
+// paths are gone, so the column is history, never re-measured), plus
+// the allocation and syscall accounting behind the win, and the E23
+// commit workload rerun over TCP end to end.
 func expRPCThroughput(rep *report) error {
 	const cell = 500 * time.Millisecond
 	workerCounts := []int{1, 8, 32}
+
+	hist, err := loadFrozenBefore(cmp.Or(rpcJSONPath, "BENCH_rpc.json"), workerKeys(workerCounts), nil)
+	rep.checkErr("frozen JSON-baseline column present in BENCH_rpc.json", err)
+	if err != nil {
+		return nil
+	}
+	before := hist.Before
 
 	// --- envelope codec steady-state allocations ---
 	allocs := rpc.EnvelopeRoundTripAllocs(5000)
@@ -79,8 +80,8 @@ func expRPCThroughput(rep *report) error {
 	rep.check("envelope round trip ~0 allocs/op", allocs < 1)
 
 	// --- call throughput over tcpnet ---
-	measure := func(fast bool, workers int) (float64, error) {
-		pair, err := newRPCPair(fast)
+	measure := func(workers int) (float64, error) {
+		pair, err := newRPCPair()
 		if err != nil {
 			return 0, err
 		}
@@ -92,8 +93,7 @@ func expRPCThroughput(rep *report) error {
 		pair.caller.Start()
 		ctx := context.Background()
 		req := echoPayload{Txn: 42, Op: "transfer", Amount: 10}
-		// Warm the connection and (for the fast path) the binary
-		// capability exchange.
+		// Warm the connection.
 		var resp echoPayload
 		if err := pair.caller.Call(ctx, pair.target.ID(), "echo", req, &resp); err != nil {
 			return 0, err
@@ -108,28 +108,24 @@ func expRPCThroughput(rep *report) error {
 		return res.Throughput(), nil
 	}
 
-	type cellResult map[string]float64
-	before, after := cellResult{}, cellResult{}
-	rep.rowf("  echo calls over loopback TCP, one caller node, cell=%v:", cell)
+	after := map[string]float64{}
+	rep.rowf("  echo calls over loopback TCP, one caller node, cell=%v (json+direct column frozen):", cell)
 	statsBefore := tcpnet.ReadWriterStats()
 	for _, w := range workerCounts {
 		key := fmt.Sprintf("workers=%d", w)
-		base, err := measure(false, w)
+		fast, err := measure(w)
 		if err != nil {
-			return fmt.Errorf("baseline %s: %w", key, err)
+			return fmt.Errorf("%s: %w", key, err)
 		}
-		fast, err := measure(true, w)
-		if err != nil {
-			return fmt.Errorf("fast %s: %w", key, err)
-		}
-		before[key], after[key] = base, fast
+		after[key] = fast
 		rep.rowf("  %-12s json+direct %8.0f calls/s   binary+coalesce %8.0f calls/s   %5.2fx",
-			key, base, fast, fast/base)
+			key, before[key], fast, fast/before[key])
 	}
 	statsAfter := tcpnet.ReadWriterStats()
 
-	// Syscall accounting across the fast runs: every batch is one writev
-	// carrying batchFrames datagrams; the baseline pays one write each.
+	// Syscall accounting across the runs: every batch is one writev
+	// carrying batchFrames datagrams; the frozen baseline paid one write
+	// each.
 	batches := statsAfter.Batches - statsBefore.Batches
 	frames := statsAfter.BatchFrames - statsBefore.BatchFrames
 	if batches > 0 {
@@ -139,7 +135,7 @@ func expRPCThroughput(rep *report) error {
 	}
 
 	speedup32 := after["workers=32"] / before["workers=32"]
-	rep.check(fmt.Sprintf("binary+coalescing >= 2x JSON baseline at 32 workers (%.2fx)", speedup32),
+	rep.check(fmt.Sprintf("binary+coalescing >= 2x frozen JSON baseline at 32 workers (%.2fx)", speedup32),
 		speedup32 >= 2)
 
 	// --- E23's commit workload over real sockets ---
@@ -151,11 +147,12 @@ func expRPCThroughput(rep *report) error {
 
 	if rpcJSONPath != "" {
 		out := map[string]any{
-			"experiment":             "E24 RPC hot path (binary envelope codec + coalescing transport vs JSON baseline)",
+			"experiment":             "E24 RPC hot path (binary envelope codec + coalescing transport vs frozen JSON baseline)",
 			"machine":                machineString(),
+			"before_machine":         hist.beforeMachine(),
 			"units":                  "calls/sec over loopback TCP",
 			"cell":                   cell.String(),
-			"note":                   "before = JSON envelope + one write()/datagram (pre-PR wire path), after = binary envelope + pooled buffers + writev coalescing. Bodies stay JSON in both.",
+			"note":                   "before = JSON envelope + one write()/datagram (the earlier wire path), frozen history measured on before_machine; that path is removed and no longer re-measured. after = binary envelope + pooled buffers + writev coalescing, measured on machine. Bodies stay JSON in both.",
 			"before":                 before,
 			"after":                  after,
 			"envelope_allocs_per_op": round2(allocs),
@@ -171,11 +168,7 @@ func expRPCThroughput(rep *report) error {
 				"speedup_workers32": round2(speedup32),
 			},
 		}
-		data, err := json.MarshalIndent(out, "", "  ")
-		if err != nil {
-			return err
-		}
-		if err := os.WriteFile(rpcJSONPath, append(data, '\n'), 0o644); err != nil {
+		if err := writeBenchJSON(rpcJSONPath, out); err != nil {
 			return err
 		}
 		rep.rowf("  wrote %s", rpcJSONPath)

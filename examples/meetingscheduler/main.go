@@ -77,6 +77,6 @@ func run() error {
 	if err := ada.BookDirect(rt, 9, "gym"); err != nil {
 		return fmt.Errorf("unrelated booking after scheduling: %w", err)
 	}
-	fmt.Println("ada booked day 9 right after — no lingering locks")
+	fmt.Println("ada booked day 9 right after — no leftover locks")
 	return nil
 }

@@ -103,22 +103,13 @@ type Manager struct {
 	// ignored. Set it only from tests, before driving transactions.
 	TestHooks Hooks
 
-	// ParallelFanout makes every coordinator round (prepare, phase-2
-	// commit, abort, recovery re-drive, structure end) issue its RPCs
-	// concurrently instead of serially, so a round costs one
-	// round-trip rather than the sum over participants. On by default;
-	// set before driving transactions.
-	ParallelFanout bool
-	// MaxFanout bounds a round's concurrent RPCs (default 16). Set
-	// before driving transactions.
-	MaxFanout int
 	// OnRound, when non-nil, receives the outcome of every coordinator
 	// fan-out round (e.g. trace.Recorder.ObserveRound). Set before
 	// driving transactions.
 	OnRound trace.RoundObserver
 
-	mu        sync.Mutex
-	node      *node.Node
+	mu   sync.Mutex
+	node *node.Node
 	// clk is the time source for recovery retries and round metrics,
 	// inherited from the hosting node in Register so a simulated node
 	// drives the manager's timers too.
@@ -165,14 +156,12 @@ var _ node.Service = (*Manager)(nil)
 // in-doubt state); after a crash, node.Restart runs the recovery hook.
 func NewManager(n *node.Node) *Manager {
 	m := &Manager{
-		ParallelFanout: true,
-		MaxFanout:      defaultMaxFanout,
-		clk:            clock.Real(),
-		resources:      make(map[string]Resource),
-		active:         make(map[ids.ActionID]*participantState),
-		containers:     make(map[StructureID]*action.Action),
-		passColours:    make(map[ids.ActionID]colour.Colour),
-		tombstones:     make(map[ids.ActionID]struct{}),
+		clk:         clock.Real(),
+		resources:   make(map[string]Resource),
+		active:      make(map[ids.ActionID]*participantState),
+		containers:  make(map[StructureID]*action.Action),
+		passColours: make(map[ids.ActionID]colour.Colour),
+		tombstones:  make(map[ids.ActionID]struct{}),
 	}
 	n.Host(m)
 	m.mu.Lock()

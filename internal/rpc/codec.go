@@ -1,22 +1,12 @@
-// Envelope wire codecs. Two formats share the CRC32 frame introduced
-// with the corruption defences:
+// Envelope wire codec. Every envelope travels as a fixed header plus
+// length-delimited strings inside the CRC32 frame introduced with the
+// corruption defences, encoded into a pooled buffer with zero
+// steady-state allocations. Application bodies stay JSON — only the
+// envelope around them is binary.
 //
-//   - CodecJSON is the original wire format (one json.Marshal around the
-//     envelope, PR 5's trace fields riding as omitempty keys). Every
-//     peer ever shipped decodes it, so it remains the lingua franca for
-//     mixed-version clusters.
-//   - CodecBinary is the hot-path format: a fixed header plus
-//     length-delimited strings, encoded into a pooled buffer with zero
-//     steady-state allocations. Application bodies stay JSON — only the
-//     envelope around them stops being JSON.
-//
-// The first byte of the framed body selects the codec on decode: JSON
-// envelopes start with '{' (0x7B), binary envelopes with binMagic — a
-// value that can never begin a JSON document — followed by a version
+// The first byte of the framed body is binMagic, followed by a version
 // byte, so a future layout change bumps binVersion without another
-// magic. A peer therefore decodes both formats unconditionally and
-// answers in the caller's format (see Peer.serve), which is what lets
-// old-JSON and new-binary peers interoperate in one cluster.
+// magic. The decoder rejects anything else, JSON envelopes included.
 package rpc
 
 import (
@@ -29,29 +19,13 @@ import (
 	"mca/internal/ids"
 )
 
-// Codec selects the envelope encoding for outgoing messages.
-type Codec uint8
-
-const (
-	// CodecBinary (the default) encodes envelopes in the binary format,
-	// falling back to JSON per destination when a peer never answers
-	// binary envelopes (it may predate them; see jsonFallbackAfter).
-	CodecBinary Codec = iota
-	// CodecJSON forces the original JSON envelope on the send path —
-	// the conservative setting while a mixed cluster still contains
-	// peers that predate the binary codec.
-	CodecJSON
-)
-
-// binMagic is the first body byte of a binary envelope. 0xC1 is not
-// valid UTF-8 and in particular is not '{', so the decoder can tell the
-// two formats apart from one byte.
+// binMagic is the first body byte of an envelope. 0xC1 is not valid
+// UTF-8, so no text document (a JSON envelope in particular) can be
+// misread as an envelope.
 const binMagic byte = 0xC1
 
-// binVersion is the binary layout version, the second body byte. The
-// decoder rejects versions it does not know, which drops the frame and
-// lets the sender's JSON fallback repair a (hypothetical) skew between
-// two binary generations the same way it repairs old/new skew.
+// binVersion is the layout version, the second body byte. The decoder
+// rejects versions it does not know, which drops the frame.
 const binVersion byte = 1
 
 // Flag bits of the binary header's flags byte.
@@ -64,7 +38,7 @@ const (
 // id, origin.
 const binHeaderLen = 1 + 1 + 1 + 1 + 8 + 8
 
-// appendEnvelopeBinary appends the binary encoding of env to buf.
+// appendEnvelope appends the encoding of env to buf.
 //
 // Layout (after the CRC32 frame prefix):
 //
@@ -78,7 +52,7 @@ const binHeaderLen = 1 + 1 + 1 + 1 + 8 + 8
 //	        if trace flag: trace id [8], span id [8], big endian
 //	        if error flag: uvarint message length, message bytes
 //	        uvarint body length, body bytes
-func appendEnvelopeBinary(buf []byte, env *envelope) []byte {
+func appendEnvelope(buf []byte, env *envelope) []byte {
 	var flags byte
 	if env.IsErr {
 		flags |= flagErr
@@ -113,14 +87,14 @@ func readDelimited(data []byte) (val, rest []byte, ok bool) {
 	return data[w : w+int(n)], data[w+int(n):], true
 }
 
-// decodeEnvelopeBinary parses a binary envelope. It is strict — unknown
+// decodeEnvelope parses an envelope into env. It is strict — unknown
 // versions, unknown flag bits, short fields and trailing bytes are all
 // rejected — so a corrupted frame that happens to pass the CRC (or a
 // deliberately malformed one) is dropped rather than misread. Method is
 // interned and Body aliases data, so the caller must not reuse data's
 // backing array afterwards; inbound frame buffers are owned by their
 // consumer, which makes the alias safe (and the decode allocation-free).
-func decodeEnvelopeBinary(data []byte, env *envelope) bool {
+func decodeEnvelope(data []byte, env *envelope) bool {
 	if len(data) < binHeaderLen || data[0] != binMagic || data[1] != binVersion {
 		return false
 	}
@@ -167,22 +141,6 @@ func decodeEnvelopeBinary(data []byte, env *envelope) bool {
 		env.Body = body
 	}
 	return true
-}
-
-// decodeEnvelope parses either wire format into env, reporting which
-// format the sender used (binary reveals a binary-capable peer).
-func decodeEnvelope(data []byte, env *envelope) (binaryFormat, ok bool) {
-	if len(data) == 0 {
-		return false, false
-	}
-	switch data[0] {
-	case binMagic:
-		return true, decodeEnvelopeBinary(data, env)
-	case '{':
-		return false, json.Unmarshal(data, env) == nil
-	default:
-		return false, false
-	}
 }
 
 // --- method interning ---
@@ -237,28 +195,20 @@ func putFrameBuf(bp *[]byte) {
 	framePool.Put(bp)
 }
 
-// encodeFrame encodes env with the chosen codec into bp's backing array
-// (growing it as needed, and recording the growth in *bp so the pool
-// keeps it) and returns the complete CRC-framed wire bytes. The result
-// aliases *bp: it is valid until bp is reused or returned to the pool.
-func encodeFrame(bp *[]byte, env *envelope, c Codec) ([]byte, error) {
+// encodeFrame encodes env into bp's backing array (growing it as
+// needed, and recording the growth in *bp so the pool keeps it) and
+// returns the complete CRC-framed wire bytes. The result aliases *bp:
+// it is valid until bp is reused or returned to the pool.
+func encodeFrame(bp *[]byte, env *envelope) []byte {
 	buf := append((*bp)[:0], 0, 0, 0, 0) // CRC placeholder
-	if c == CodecJSON {
-		j, err := json.Marshal(env)
-		if err != nil {
-			return nil, err
-		}
-		buf = append(buf, j...)
-	} else {
-		buf = appendEnvelopeBinary(buf, env)
-	}
+	buf = appendEnvelope(buf, env)
 	binary.BigEndian.PutUint32(buf[:4], crc32.ChecksumIEEE(buf[4:]))
 	*bp = buf
-	return buf, nil
+	return buf
 }
 
 // EnvelopeRoundTripAllocs measures the mean heap allocations of one
-// binary envelope encode+decode cycle (frame, CRC, parse) over runs
+// envelope encode+decode cycle (frame, CRC, parse) over runs
 // iterations. It is the allocs-regression probe shared by the codec
 // tests and experiment E24; the steady-state expectation is zero.
 func EnvelopeRoundTripAllocs(runs int) float64 {
@@ -274,26 +224,17 @@ func EnvelopeRoundTripAllocs(runs int) float64 {
 	}
 	bp := getFrameBuf()
 	defer putFrameBuf(bp)
-	// dec lives outside the cycle: &dec reaches json.Unmarshal on the
-	// (unused) JSON branch of decodeEnvelope, so it escapes and a
-	// per-cycle variable would cost exactly one heap envelope per op —
-	// the same reason Peer.loop reuses its decode envelope.
-	var dec envelope
 	cycle := func() {
-		data, err := encodeFrame(bp, &env, CodecBinary)
-		if err != nil {
-			panic(err)
-		}
-		body, ok := verifyFrame(data)
+		body, ok := verifyFrame(encodeFrame(bp, &env))
 		if !ok {
 			panic("rpc: framed envelope failed its own CRC")
 		}
-		dec = envelope{}
-		if bin, ok := decodeEnvelope(body, &dec); !bin || !ok {
-			panic("rpc: binary envelope failed to decode")
+		var dec envelope
+		if !decodeEnvelope(body, &dec) {
+			panic("rpc: envelope failed to decode")
 		}
 		if dec.CallID != env.CallID || dec.Method != env.Method {
-			panic("rpc: binary envelope round trip mismatch")
+			panic("rpc: envelope round trip mismatch")
 		}
 	}
 	// Warm the pool, the intern table and the buffer growth before

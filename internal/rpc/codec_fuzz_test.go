@@ -9,10 +9,12 @@ import (
 )
 
 // FuzzEnvelopeDecode throws arbitrary bytes at the wire decoder: it
-// must never panic, and anything it accepts must re-encode to bytes it
-// accepts again with identical fields (decode∘encode is idempotent).
-// The seed corpus covers both codecs plus the adversarial edges;
-// testdata/fuzz holds regression inputs.
+// must never panic, anything it accepts must be a binary envelope
+// (magic and version bytes), and that envelope must re-encode to bytes
+// it accepts again with identical fields (decode∘encode is idempotent).
+// The seed corpus covers every envelope shape, a JSON envelope that
+// must be rejected, and the adversarial edges; testdata/fuzz holds
+// regression inputs.
 func FuzzEnvelopeDecode(f *testing.F) {
 	// Valid binary envelopes of each shape.
 	for _, env := range []envelope{
@@ -21,9 +23,9 @@ func FuzzEnvelopeDecode(f *testing.F) {
 		{Kind: kindRequest, CallID: 1 << 60, Origin: 2, Method: "dist.prepare",
 			Body: json.RawMessage(`{"txn":42}`), V: wireVersionTrace, Trace: 0xDEADBEEF, Span: 0xCAFE},
 	} {
-		f.Add(appendEnvelopeBinary(nil, &env))
+		f.Add(appendEnvelope(nil, &env))
 	}
-	// A JSON envelope, the legacy format.
+	// A JSON envelope: not a wire format, so it must be rejected.
 	f.Add([]byte(`{"kind":1,"callId":7,"origin":3,"method":"echo","body":{"text":"x"}}`))
 	// Adversarial edges: truncated header, huge uvarint length, wrong
 	// version, empty input.
@@ -34,13 +36,15 @@ func FuzzEnvelopeDecode(f *testing.F) {
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		var env envelope
-		bin, ok := decodeEnvelope(data, &env)
-		if !ok || !bin {
-			return // rejected, or JSON: nothing further to hold invariant
+		if !decodeEnvelope(data, &env) {
+			return // rejected: nothing further to hold invariant
 		}
-		reencoded := appendEnvelopeBinary(nil, &env)
+		if data[0] != binMagic || data[1] != binVersion {
+			t.Fatalf("decoder accepted a non-binary envelope: % x", data)
+		}
+		reencoded := appendEnvelope(nil, &env)
 		var again envelope
-		if ok := decodeEnvelopeBinary(reencoded, &again); !ok {
+		if !decodeEnvelope(reencoded, &again) {
 			t.Fatalf("re-encode of accepted envelope rejected: %+v", env)
 		}
 		if env.Kind != again.Kind || env.CallID != again.CallID ||
@@ -79,18 +83,13 @@ func FuzzEnvelopeRoundTrip(f *testing.F) {
 		}
 		bp := getFrameBuf()
 		defer putFrameBuf(bp)
-		framed, err := encodeFrame(bp, &env, CodecBinary)
-		if err != nil {
-			t.Fatalf("encode: %v", err)
-		}
-		payload, ok := verifyFrame(framed)
+		payload, ok := verifyFrame(encodeFrame(bp, &env))
 		if !ok {
 			t.Fatal("frame failed own CRC")
 		}
 		var dec envelope
-		bin, ok := decodeEnvelope(payload, &dec)
-		if !bin || !ok {
-			t.Fatalf("decode failed (bin=%v ok=%v) for %+v", bin, ok, env)
+		if !decodeEnvelope(payload, &dec) {
+			t.Fatalf("decode failed for %+v", env)
 		}
 		// IsErr false with a non-empty ErrMsg cannot round-trip (the
 		// message only ships under the error flag); the encoder never

@@ -105,29 +105,25 @@ const (
 	kindReply
 )
 
-// wireVersionTrace flags an envelope carrying distributed-trace
-// context. The version byte keeps the extension wire-compatible in
-// both directions: peers predating it ignore the unknown JSON fields,
-// and envelopes from such peers decode here with V == 0, which new
-// code reads as "no trace context".
+// wireVersionTrace marks an envelope carrying distributed-trace
+// context; an envelope without it has V == 0, read as "no trace
+// context".
 const wireVersionTrace uint8 = 1
 
-// envelope is the logical wire message. Two encodings exist (see
-// codec.go): the original JSON format, produced by these struct tags,
-// and the binary format, which carries exactly the same fields.
+// envelope is the logical wire message, encoded by codec.go.
 type envelope struct {
-	Kind   kind            `json:"kind"`
-	CallID uint64          `json:"callId"`
-	Origin ids.NodeID      `json:"origin"`
-	Method string          `json:"method,omitempty"`
-	Body   json.RawMessage `json:"body,omitempty"`
-	ErrMsg string          `json:"errMsg,omitempty"`
-	IsErr  bool            `json:"isErr,omitempty"`
+	Kind   kind
+	CallID uint64
+	Origin ids.NodeID
+	Method string
+	Body   json.RawMessage
+	ErrMsg string
+	IsErr  bool
 	// V is the wire version/flag byte: wireVersionTrace when the
 	// envelope carries the caller's trace context in Trace/Span.
-	V     uint8  `json:"v,omitempty"`
-	Trace uint64 `json:"trace,omitempty"`
-	Span  uint64 `json:"span,omitempty"`
+	V     uint8
+	Trace uint64
+	Span  uint64
 }
 
 // traceContext extracts the trace context shipped in the envelope,
@@ -151,12 +147,6 @@ type Options struct {
 	// Clock is the time source for retry tickers and span timestamps.
 	// Default clock.Real().
 	Clock clock.Clock
-	// Codec selects the envelope wire format for outgoing messages.
-	// The default, CodecBinary, starts every call in the binary format
-	// and downgrades per destination when a peer never answers it (see
-	// jsonFallbackAfter); CodecJSON pins the original JSON format for
-	// clusters still rolling out the binary codec.
-	Codec Codec
 	// ServeWorkers bounds the resident handler pool. Incoming requests
 	// are handed to an idle pooled worker when one is ready and spawn a
 	// fresh goroutine otherwise, so a burst (or a pool full of blocked
@@ -182,16 +172,6 @@ func (o *Options) fill() {
 	}
 }
 
-// jsonFallbackAfter is the number of unanswered retransmissions after
-// which a binary-format call downgrades to JSON for a destination that
-// has never sent us a binary envelope: such a peer may predate the
-// binary codec and be silently dropping our requests. A new peer
-// answers either format (and replies in binary to any peer it knows to
-// be binary-capable), so the downgrade costs only encoding efficiency,
-// never correctness, and the first binary envelope received from the
-// destination re-enables the fast format for subsequent calls.
-const jsonFallbackAfter = 3
-
 // Peer is one node's RPC engine: it serves registered methods and issues
 // outgoing calls over a single transport endpoint.
 type Peer struct {
@@ -212,10 +192,6 @@ type Peer struct {
 	seenHead int // index of the oldest entry in seenRing
 	seenLen  int
 	inflight map[uint64]struct{}
-	// binPeers records nodes that have sent us a binary envelope —
-	// proof they decode the binary format — so replies and future calls
-	// to them skip the JSON fallback.
-	binPeers map[ids.NodeID]struct{}
 	running  bool
 	stop     chan struct{}
 	done     chan struct{}
@@ -234,15 +210,6 @@ type Peer struct {
 // reply to a brand-new call (a restarted coordinator's recovery re-drive
 // would be ghost-acked without any participant executing it).
 var callSeq atomic.Uint64
-
-// isBinaryPeer reports whether the destination has ever sent this peer
-// a binary envelope, proving it runs the binary-capable codec.
-func (p *Peer) isBinaryPeer(id ids.NodeID) bool {
-	p.mu.Lock()
-	_, ok := p.binPeers[id]
-	p.mu.Unlock()
-	return ok
-}
 
 // SetTracer installs the recorder that receives this peer's RPC spans:
 // "rpc.client" for outgoing traced calls, "rpc.server" for handler
@@ -267,7 +234,6 @@ func NewPeerOn(t Transport, opts Options) *Peer {
 		pending:  make(map[uint64]chan envelope),
 		seen:     make(map[uint64]envelope),
 		inflight: make(map[uint64]struct{}),
-		binPeers: make(map[ids.NodeID]struct{}),
 	}
 }
 
@@ -327,15 +293,12 @@ func (p *Peer) Stop() {
 	p.seenRing = nil
 	p.seenHead, p.seenLen = 0, 0
 	p.inflight = make(map[uint64]struct{})
-	p.binPeers = make(map[ids.NodeID]struct{})
 }
 
-// serveJob is one decoded request awaiting handler dispatch. binary
-// records the request's wire format so the reply answers in kind.
+// serveJob is one decoded request awaiting handler dispatch.
 type serveJob struct {
-	from   ids.NodeID
-	req    envelope
-	binary bool
+	from ids.NodeID
+	req  envelope
 	// arrived is the dispatch timestamp, stamped only for traced
 	// requests: serve-start minus arrived is the queue phase (pool
 	// wait, or goroutine scheduling delay on the spawn path).
@@ -366,12 +329,6 @@ func (p *Peer) loop(stop, done chan struct{}, serveq chan serveJob) {
 		<-stop
 		cancel()
 	}()
-	// env is hoisted out of the receive loop: its address reaches
-	// json.Unmarshal on the legacy-codec branch, so it escapes, and a
-	// per-iteration variable would heap-allocate one envelope per
-	// datagram. Dispatch below copies it by value (into a serveJob or a
-	// pending channel), so reuse is safe.
-	var env envelope
 	for {
 		msg, err := p.ep.Recv(ctx)
 		if err != nil {
@@ -382,19 +339,13 @@ func (p *Peer) loop(stop, done chan struct{}, serveq chan serveJob) {
 		if !ok {
 			continue // corrupt datagram (checksum mismatch): drop
 		}
-		env = envelope{}
-		bin, ok := decodeEnvelope(body, &env)
-		if !ok {
+		var env envelope
+		if !decodeEnvelope(body, &env) {
 			continue // undecodable datagram: drop
-		}
-		if bin {
-			p.mu.Lock()
-			p.binPeers[msg.From] = struct{}{}
-			p.mu.Unlock()
 		}
 		switch env.Kind {
 		case kindRequest:
-			job := serveJob{from: msg.From, req: env, binary: bin}
+			job := serveJob{from: msg.From, req: env}
 			if env.Trace != 0 {
 				job.arrived = p.opts.Clock.Now()
 			}
@@ -444,18 +395,11 @@ func (p *Peer) serve(ctx context.Context, job serveJob) {
 	// calls; drop retransmissions of calls still executing (the
 	// original execution will reply when it finishes).
 	p.mu.Lock()
-	_, binPeer := p.binPeers[from]
-	replyCodec := CodecJSON
-	if p.opts.Codec != CodecJSON && (job.binary || binPeer) {
-		// Answer in the caller's format; a peer that has ever sent us
-		// binary gets binary even on a (fallback) JSON request.
-		replyCodec = CodecBinary
-	}
 	if cached, ok := p.seen[req.CallID]; ok {
 		p.mu.Unlock()
 		duplicates.Inc()
 		flightrec.Record(flightrec.Event{Kind: flightrec.KindRPCDuplicate, Node: uint64(p.ep.ID()), Trace: req.Trace, Span: req.Span, A: req.CallID})
-		p.reply(from, cached, replyCodec)
+		p.reply(from, cached)
 		return
 	}
 	if _, executing := p.inflight[req.CallID]; executing {
@@ -542,16 +486,13 @@ func (p *Peer) serve(ctx context.Context, job serveJob) {
 		p.cacheReply(req.CallID, resp)
 	}
 	p.mu.Unlock()
-	p.reply(from, resp, replyCodec)
+	p.reply(from, resp)
 }
 
-func (p *Peer) reply(to ids.NodeID, env envelope, c Codec) {
+func (p *Peer) reply(to ids.NodeID, env envelope) {
 	bp := getFrameBuf()
 	defer putFrameBuf(bp)
-	data, err := encodeFrame(bp, &env, c)
-	if err != nil {
-		return
-	}
+	data := encodeFrame(bp, &env)
 	bytesSent.Add(uint64(len(data)))
 	// Transports must not retain data past Send (netsim copies, tcpnet
 	// stages into its own writer frame), so the buffer re-pools here.
@@ -559,17 +500,9 @@ func (p *Peer) reply(to ids.NodeID, env envelope, c Codec) {
 	_ = p.ep.Send(to, data)
 }
 
-// frame prefixes the body with a CRC32 so corrupted datagrams (flipped
-// bits on the simulated LAN) are detected and dropped rather than
-// decoded into garbage.
-func frame(body []byte) []byte {
-	out := make([]byte, 4+len(body))
-	binary.BigEndian.PutUint32(out[:4], crc32.ChecksumIEEE(body))
-	copy(out[4:], body)
-	return out
-}
-
-// verifyFrame checks and strips the checksum prefix.
+// verifyFrame checks and strips the CRC32 prefix encodeFrame writes, so
+// corrupted datagrams (flipped bits on the simulated LAN) are detected
+// and dropped rather than decoded into garbage.
 func verifyFrame(data []byte) ([]byte, bool) {
 	if len(data) < 4 {
 		return nil, false
@@ -658,14 +591,9 @@ func (p *Peer) call(ctx context.Context, to ids.NodeID, method string, wire trac
 		env.V = wireVersionTrace
 		env.Trace, env.Span = wire.TraceID, wire.SpanID
 	}
-	codec := p.opts.Codec
 	bp := getFrameBuf()
 	defer putFrameBuf(bp)
-	data, err := encodeFrame(bp, &env, codec)
-	if err != nil {
-		callsSendErr.Inc()
-		return fmt.Errorf("rpc: marshal envelope: %w", err)
-	}
+	data := encodeFrame(bp, &env)
 
 	ch := make(chan envelope, 1)
 	p.mu.Lock()
@@ -688,7 +616,6 @@ func (p *Peer) call(ctx context.Context, to ids.NodeID, method string, wire trac
 		callsSendErr.Inc()
 		return fmt.Errorf("rpc: send: %w", err)
 	}
-	attempts := 0
 	for {
 		select {
 		case reply, ok := <-ch:
@@ -709,19 +636,6 @@ func (p *Peer) call(ctx context.Context, to ids.NodeID, method string, wire trac
 			callsOK.Inc()
 			return nil
 		case <-ticker.C():
-			attempts++
-			if codec == CodecBinary && attempts >= jsonFallbackAfter && !p.isBinaryPeer(to) {
-				// The destination has never spoken binary to us — it may
-				// be an old JSON-only peer silently dropping our binary
-				// envelopes. Downgrade this call's remaining
-				// retransmissions to the JSON format (a new peer answers
-				// either way, so this is at worst slower, never wrong).
-				codec = CodecJSON
-				if refreshed, err := encodeFrame(bp, &env, CodecJSON); err == nil {
-					data = refreshed
-					wireFallbacks.Inc()
-				}
-			}
 			retransmits.Inc()
 			flightrec.Record(flightrec.Event{Kind: flightrec.KindRPCRetransmit, Node: uint64(p.ep.ID()), Trace: wire.TraceID, Span: wire.SpanID, A: callID})
 			bytesSent.Add(uint64(len(data)))

@@ -86,10 +86,6 @@ type WAL struct {
 	// gen counts owner crashes; in-flight batches from an older
 	// generation fail instead of installing.
 	gen atomic.Uint64
-	// perRecord disables group commit: every record is forced alone,
-	// forces serialised — the pre-WAL retail path, kept as the
-	// measurable baseline for E23.
-	perRecord atomic.Bool
 	// window holds a flush open (ns) so more transactions join the
 	// batch. Zero means natural batching only: records arriving while a
 	// force is in progress form the next batch.
@@ -121,8 +117,7 @@ type WAL struct {
 	cur      *walBatch
 	flushing bool
 
-	// flushMu serialises forces (one log head), including per-record
-	// baseline forces.
+	// flushMu serialises forces (one log head).
 	flushMu sync.Mutex
 	file    *walFile // nil for the in-memory backing
 }
@@ -146,10 +141,6 @@ type clockBox struct{ c clock.Clock }
 func (w *WAL) SetClock(c clock.Clock) { w.clk.Store(clockBox{c}) }
 
 func (w *WAL) clock() clock.Clock { return w.clk.Load().(clockBox).c }
-
-// SetGroupCommit toggles batched forces (default on). Off forces every
-// record alone, serialised: the pre-WAL baseline.
-func (w *WAL) SetGroupCommit(on bool) { w.perRecord.Store(!on) }
 
 // SetWindow holds each flush open for d so more records join the batch.
 // Zero (the default) batches naturally: whatever arrives during the
@@ -219,7 +210,7 @@ func (w *WAL) Pending() ([]Intention, error) {
 }
 
 // append adds the entry to the open batch and waits for that batch's
-// force. In per-record mode the entry is its own batch.
+// force.
 func (w *WAL) append(e walEntry) error {
 	if w.owner.Crashed() {
 		return ErrCrashed
@@ -230,14 +221,6 @@ func (w *WAL) append(e walEntry) error {
 	// that transaction is traced.
 	clk := w.clock()
 	start := clk.Now()
-	if w.perRecord.Load() {
-		b := &walBatch{entries: []walEntry{e}, gen: w.gen.Load(), done: make(chan struct{})}
-		w.flushMu.Lock()
-		w.flush(b)
-		w.flushMu.Unlock()
-		phase.RecordAction(e.Action, phase.Force, clk.Since(start))
-		return b.err
-	}
 	w.mu.Lock()
 	if w.cur == nil {
 		w.cur = &walBatch{gen: w.gen.Load(), done: make(chan struct{})}

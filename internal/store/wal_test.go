@@ -59,26 +59,9 @@ func TestWALGroupCommitSharesForces(t *testing.T) {
 	}
 	// 16 concurrent appenders against a 2ms force must share batches:
 	// the first force takes the early arrivals, everyone else piles into
-	// the next batch. A per-record log would pay 16 forces.
+	// the next batch. Forcing each record alone would pay 16 forces.
 	if flushes >= records {
 		t.Fatalf("flushes = %d for %d records: group commit never batched", flushes, records)
-	}
-}
-
-func TestWALPerRecordBaselineForcesEach(t *testing.T) {
-	s := NewStable()
-	s.WAL().SetGroupCommit(false)
-	log := s.Intentions()
-
-	const n = 8
-	for i := 0; i < n; i++ {
-		if err := log.Record(testIntention(ids.NewActionID(), "w")); err != nil {
-			t.Fatal(err)
-		}
-	}
-	flushes, records := s.WAL().Stats()
-	if flushes != n || records != n {
-		t.Fatalf("per-record mode: flushes=%d records=%d, want %d each", flushes, records, n)
 	}
 }
 

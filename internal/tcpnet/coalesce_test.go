@@ -6,7 +6,6 @@ import (
 	"testing"
 	"time"
 
-	"mca/internal/clock"
 	"mca/internal/ids"
 	"mca/internal/tcpnet"
 )
@@ -27,80 +26,13 @@ func recvN(t *testing.T, e *tcpnet.Endpoint, n int, timeout time.Duration) []str
 	return got
 }
 
-// TestCoalescingLingerBatchesUnderFakeClock drives the flush-on-idle
-// path deterministically: with a large batch bound and a pending linger
-// window on a fake clock, queued datagrams accumulate in the writer —
-// nothing reaches the peer — until the clock advances, and then they
-// all flush as one writev batch.
-func TestCoalescingLingerBatchesUnderFakeClock(t *testing.T) {
-	fake := clock.NewFake()
-	nw := tcpnet.NewNetwork()
-	nw.SetClock(fake)
-	nw.SetCoalescing(1<<20, 256, 50*time.Millisecond)
-	a := newEndpoint(t, nw)
-	b := newEndpoint(t, nw)
-
-	before := tcpnet.ReadWriterStats()
-	const frames = 10
-	for i := 0; i < frames; i++ {
-		if err := a.Send(b.ID(), []byte{byte('a' + i)}); err != nil {
-			t.Fatalf("Send %d: %v", i, err)
-		}
-	}
-	// Wait for the writer to arm its linger timer and drain the queue
-	// into its pending batch.
-	deadline := time.Now().Add(2 * time.Second)
-	for fake.Pending() == 0 {
-		if time.Now().After(deadline) {
-			t.Fatal("writer never armed its linger timer")
-		}
-		time.Sleep(time.Millisecond)
-	}
-	time.Sleep(50 * time.Millisecond) // let the drain finish
-
-	// The linger window is open: nothing may have been flushed yet.
-	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Millisecond)
-	if _, err := b.Recv(ctx); err == nil {
-		cancel()
-		t.Fatal("datagram arrived before the linger window closed")
-	}
-	cancel()
-
-	fake.Advance(50 * time.Millisecond)
-	// A straggler frame the writer had not yet drained when the window
-	// closed starts a second linger window; keep advancing until all
-	// frames arrive so the test cannot hang on that scheduling race.
-	received := 0
-	hard := time.Now().Add(5 * time.Second)
-	for received < frames {
-		rctx, rcancel := context.WithTimeout(context.Background(), 200*time.Millisecond)
-		_, err := b.Recv(rctx)
-		rcancel()
-		if err == nil {
-			received++
-			continue
-		}
-		if time.Now().After(hard) {
-			t.Fatalf("received %d datagrams, want %d", received, frames)
-		}
-		fake.Advance(50 * time.Millisecond)
-	}
-	after := tcpnet.ReadWriterStats()
-	if n := after.BatchFrames - before.BatchFrames; n != frames {
-		t.Fatalf("writer flushed %d frames, want %d", n, frames)
-	}
-	if n := after.Batches - before.Batches; n < 1 || n > 2 {
-		t.Fatalf("flush took %d writev batches, want 1 (2 tolerated for a straggler), for %d frames", n, frames)
-	}
-}
-
 // TestSendQueueDropsOnOverflow wedges a destination that accepts the
 // connection but never reads: once the kernel buffers and the writer
 // queue fill, Send must keep returning immediately and drop datagrams
 // (UDP-style) instead of blocking the caller.
 func TestSendQueueDropsOnOverflow(t *testing.T) {
+	t.Cleanup(tcpnet.SetQueueLen(4))
 	nw := tcpnet.NewNetwork()
-	nw.SetCoalescing(256<<10, 4, 0)
 	a := newEndpoint(t, nw)
 
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
@@ -141,33 +73,6 @@ func TestSendQueueDropsOnOverflow(t *testing.T) {
 	after := tcpnet.ReadWriterStats()
 	if after.QueueDrops == before.QueueDrops {
 		t.Fatal("no queue drops recorded despite a wedged destination")
-	}
-}
-
-// TestDirectWriteMode covers the non-coalescing baseline: every Send is
-// its own vectored write and datagrams still round-trip.
-func TestDirectWriteMode(t *testing.T) {
-	nw := tcpnet.NewNetwork()
-	nw.SetDirectWrite(true)
-	a := newEndpoint(t, nw)
-	b := newEndpoint(t, nw)
-
-	before := tcpnet.ReadWriterStats()
-	for i := 0; i < 5; i++ {
-		if err := a.Send(b.ID(), []byte{byte('0' + i)}); err != nil {
-			t.Fatalf("Send: %v", err)
-		}
-	}
-	got := recvN(t, b, 5, 5*time.Second)
-	if len(got) != 5 {
-		t.Fatalf("received %d datagrams, want 5", len(got))
-	}
-	after := tcpnet.ReadWriterStats()
-	if n := after.DirectWrites - before.DirectWrites; n != 5 {
-		t.Fatalf("direct writes = %d, want 5", n)
-	}
-	if after.Batches != before.Batches {
-		t.Fatal("coalescing writer ran in direct mode")
 	}
 }
 

@@ -30,7 +30,6 @@ import (
 	"sync"
 	"time"
 
-	"mca/internal/clock"
 	"mca/internal/ids"
 	"mca/internal/rpc"
 )
@@ -85,11 +84,13 @@ const frameHeaderLen = 12
 // CallTimeout so a failed dial still leaves room for retries.
 const dialTimeout = 500 * time.Millisecond
 
-// Defaults for the coalescing writer.
-const (
-	defaultBatchBytes = 256 << 10
-	defaultQueueLen   = 256
-)
+// batchBytes bounds the bytes flushed in one writev.
+const batchBytes = 256 << 10
+
+// queueLen bounds the frames queued per destination; overflow drops,
+// like a UDP send buffer. A variable only so in-package tests can
+// shrink it.
+var queueLen = 256
 
 // maxYieldRounds bounds how many times the writer yields the processor
 // to gather a larger batch before flushing. Each round costs one
@@ -98,66 +99,15 @@ const (
 // busy pipeline coalesce whole bursts into single writev calls.
 const maxYieldRounds = 8
 
-// Network is the shared address book (and transport configuration) of a
-// set of TCP endpoints.
+// Network is the shared address book of a set of TCP endpoints.
 type Network struct {
 	mu    sync.Mutex
 	addrs map[ids.NodeID]string
-
-	clk        clock.Clock
-	direct     bool
-	batchBytes int
-	queueLen   int
-	linger     time.Duration
 }
 
-// NewNetwork builds an empty address book with the default coalescing
-// configuration.
+// NewNetwork builds an empty address book.
 func NewNetwork() *Network {
-	return &Network{
-		addrs:      make(map[ids.NodeID]string),
-		clk:        clock.Real(),
-		batchBytes: defaultBatchBytes,
-		queueLen:   defaultQueueLen,
-	}
-}
-
-// SetClock substitutes the time source used by endpoints created after
-// the call (flush-linger timers). Default clock.Real().
-func (n *Network) SetClock(c clock.Clock) {
-	n.mu.Lock()
-	defer n.mu.Unlock()
-	n.clk = c
-}
-
-// SetDirectWrite disables the coalescing writer for endpoints created
-// after the call: every Send performs its own (vectored) write, the
-// pre-coalescing behaviour. Kept for baseline measurement (E24) and as
-// an escape hatch.
-func (n *Network) SetDirectWrite(direct bool) {
-	n.mu.Lock()
-	defer n.mu.Unlock()
-	n.direct = direct
-}
-
-// SetCoalescing tunes the writer for endpoints created after the call:
-// batchBytes bounds the bytes flushed in one writev, queueLen the
-// frames queued per destination (overflow drops, like a UDP send
-// buffer), and linger how long a flush waits for more frames once the
-// queue runs dry — 0 (the default) flushes once draining plus a few
-// scheduler yields (see maxYieldRounds) stage nothing more, adding no
-// latency while still batching whatever concurrent senders were about
-// to queue. The linger timer runs on the network's clock.
-func (n *Network) SetCoalescing(batchBytes, queueLen int, linger time.Duration) {
-	n.mu.Lock()
-	defer n.mu.Unlock()
-	if batchBytes > 0 {
-		n.batchBytes = batchBytes
-	}
-	if queueLen > 0 {
-		n.queueLen = queueLen
-	}
-	n.linger = linger
+	return &Network{addrs: make(map[ids.NodeID]string)}
 }
 
 // Register binds a node identifier to a dialable address. Listen does
@@ -175,9 +125,8 @@ func (n *Network) lookup(id ids.NodeID) (string, bool) {
 	return addr, ok
 }
 
-// sender owns one outbound connection. In coalescing mode ch feeds the
-// connection's writer goroutine; in direct mode ch is nil and Send
-// writes the frame itself.
+// sender owns one outbound connection; ch feeds the connection's writer
+// goroutine.
 type sender struct {
 	conn net.Conn
 	ch   chan *[]byte
@@ -185,8 +134,8 @@ type sender struct {
 	once sync.Once
 }
 
-// close tears the sender down (idempotently): the writer goroutine, if
-// any, observes stop and exits; an in-flight writev fails on the closed
+// close tears the sender down (idempotently): the writer goroutine
+// observes stop and exits; an in-flight writev fails on the closed
 // connection.
 func (s *sender) close() {
 	s.once.Do(func() {
@@ -200,12 +149,6 @@ type Endpoint struct {
 	id  ids.NodeID
 	net *Network
 	ln  net.Listener
-
-	clk        clock.Clock
-	direct     bool
-	batchBytes int
-	queueLen   int
-	linger     time.Duration
 
 	mu      sync.Mutex
 	senders map[ids.NodeID]*sender // outbound, one per destination
@@ -226,21 +169,13 @@ func (n *Network) Listen(addr string) (*Endpoint, error) {
 	if err != nil {
 		return nil, fmt.Errorf("tcpnet listen: %w", err)
 	}
-	n.mu.Lock()
-	clk, direct, batchBytes, queueLen, linger := n.clk, n.direct, n.batchBytes, n.queueLen, n.linger
-	n.mu.Unlock()
 	e := &Endpoint{
-		id:         ids.NewNodeID(),
-		net:        n,
-		ln:         ln,
-		clk:        clk,
-		direct:     direct,
-		batchBytes: batchBytes,
-		queueLen:   queueLen,
-		linger:     linger,
-		senders:    make(map[ids.NodeID]*sender),
-		inbound:    make(map[net.Conn]struct{}),
-		inbox:      make(chan rpc.Datagram, 256),
+		id:      ids.NewNodeID(),
+		net:     n,
+		ln:      ln,
+		senders: make(map[ids.NodeID]*sender),
+		inbound: make(map[net.Conn]struct{}),
+		inbox:   make(chan rpc.Datagram, 256),
 	}
 	n.Register(e.id, ln.Addr().String())
 	e.wg.Add(1)
@@ -339,8 +274,8 @@ func stageFrame(from ids.NodeID, payload []byte) *[]byte {
 }
 
 // Send implements rpc.Transport: best-effort datagram delivery over a
-// cached connection. In the default coalescing mode the frame is staged
-// onto the destination's writer queue and flushed — together with
+// cached connection. The frame is staged onto the destination's writer
+// queue and flushed — together with
 // whatever else is queued — in one writev; a full queue drops the
 // datagram. Connection failures likewise drop the datagram (and the
 // cached connection) rather than erroring: the RPC layer's
@@ -370,19 +305,6 @@ func (e *Endpoint) Send(to ids.NodeID, payload []byte) error {
 		if s == nil {
 			return nil // destination down: datagram lost, retransmission will retry
 		}
-	}
-
-	if s.ch == nil {
-		// Direct mode: one vectored write per datagram on the caller's
-		// goroutine (the pre-coalescing baseline).
-		if err := writeFrame(s.conn, e.id, payload); err != nil {
-			writeDrops.Inc()
-			e.dropSender(to, s)
-			return nil
-		}
-		directWrites.Inc()
-		tcpBytesWritten.Add(uint64(frameHeaderLen + len(payload)))
-		return nil
 	}
 
 	frame := stageFrame(e.id, payload)
@@ -431,12 +353,9 @@ func (e *Endpoint) dial(to ids.NodeID) (*sender, error) {
 		fresh.Close()
 		return existing, nil
 	}
-	s := &sender{conn: fresh, stop: make(chan struct{})}
-	if !e.direct {
-		s.ch = make(chan *[]byte, e.queueLen)
-		e.wg.Add(1)
-		go e.writeLoop(to, s)
-	}
+	s := &sender{conn: fresh, ch: make(chan *[]byte, queueLen), stop: make(chan struct{})}
+	e.wg.Add(1)
+	go e.writeLoop(to, s)
 	e.senders[to] = s
 	e.mu.Unlock()
 	return s, nil
@@ -454,9 +373,8 @@ func (e *Endpoint) dropSender(to ids.NodeID, s *sender) {
 
 // writeLoop owns one outbound connection: it blocks for the first
 // queued frame, opportunistically drains whatever else concurrent
-// senders queued (bounded by batchBytes, optionally lingering on the
-// injected clock for stragglers), and flushes the whole batch in a
-// single writev. Frames return to the pool after the flush.
+// senders queued (bounded by batchBytes), and flushes the whole batch in
+// a single writev. Frames return to the pool after the flush.
 func (e *Endpoint) writeLoop(to ids.NodeID, s *sender) {
 	defer e.wg.Done()
 	refs := make([]*[]byte, 0, 64)
@@ -468,64 +386,39 @@ func (e *Endpoint) writeLoop(to ids.NodeID, s *sender) {
 		case first := <-s.ch:
 			refs = append(refs[:0], first)
 			size := len(*first)
-			var lingerT clock.Timer
-			var lingerC <-chan time.Time
-			if e.linger > 0 {
-				lingerT = e.clk.NewTimer(e.linger)
-				lingerC = lingerT.C()
-			}
 			yields := 0
 		collect:
-			for size < e.batchBytes {
+			for size < batchBytes {
 				select {
 				case f := <-s.ch:
 					refs = append(refs, f)
 					size += len(*f)
 				default:
-					if lingerC == nil {
-						// Queue drained. Yield to let already-runnable
-						// goroutines — handlers, reply loops, other
-						// callers — stage the frames they are about to
-						// send, then re-check. A yield that stages
-						// nothing means the pipeline is quiescent, so
-						// flushing now adds no latency; a yield that
-						// does lets one writev carry the whole burst.
-						if yields >= maxYieldRounds {
-							break collect
-						}
-						yields++
-						runtime.Gosched()
-						select {
-						case f := <-s.ch:
-							refs = append(refs, f)
-							size += len(*f)
-						case <-s.stop:
-							for _, f := range refs {
-								putTCPFrame(f)
-							}
-							return
-						default:
-							break collect // quiescent: flush now
-						}
-						continue
+					// Queue drained. Yield to let already-runnable
+					// goroutines — handlers, reply loops, other callers —
+					// stage the frames they are about to send, then
+					// re-check. A yield that stages nothing means the
+					// pipeline is quiescent, so flushing now adds no
+					// latency; a yield that does lets one writev carry
+					// the whole burst.
+					if yields >= maxYieldRounds {
+						break collect
 					}
+					yields++
+					runtime.Gosched()
 					select {
 					case f := <-s.ch:
 						refs = append(refs, f)
 						size += len(*f)
-					case <-lingerC:
-						lingerC = nil
 					case <-s.stop:
-						lingerT.Stop()
 						for _, f := range refs {
 							putTCPFrame(f)
 						}
 						return
+					default:
+						break collect // quiescent: flush now
 					}
 				}
-			}
-			if lingerT != nil {
-				lingerT.Stop()
 			}
 			bufs = bufs[:0]
 			for _, f := range refs {
@@ -648,22 +541,6 @@ func (e *Endpoint) Close() {
 	e.ln.Close()
 	e.teardownConns()
 	e.wg.Wait()
-}
-
-// writeFrame writes one datagram as a length-prefixed frame (layout:
-// 4-byte big-endian payload length, 8-byte big-endian sender id,
-// payload bytes) in a single vectored write — two iovecs, no
-// header+payload copy. One net.Buffers write is atomic against
-// concurrent writers on the same connection (internal/poll serialises
-// the whole vector under the fd write lock), which is what keeps the
-// direct path frame-safe without a mutex.
-func writeFrame(conn net.Conn, from ids.NodeID, payload []byte) error {
-	var header [frameHeaderLen]byte
-	binary.BigEndian.PutUint32(header[0:4], uint32(len(payload)))
-	binary.BigEndian.PutUint64(header[4:12], uint64(from))
-	bufs := net.Buffers{header[:], payload}
-	_, err := bufs.WriteTo(conn)
-	return err
 }
 
 // readFrame reads one frame from r into a fresh payload buffer, reusing

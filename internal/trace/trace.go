@@ -51,10 +51,8 @@ type RoundEvent struct {
 	// answered successfully (for prepare: voted yes).
 	Participants int
 	OK           int
-	// Parallel reports whether the round fanned out concurrently.
-	Parallel bool
-	Start    time.Time
-	Duration time.Duration
+	Start        time.Time
+	Duration     time.Duration
 	// Err is the round's first failure, nil when every call succeeded.
 	Err error
 }

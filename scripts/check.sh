@@ -29,11 +29,18 @@ go test -race -tags invariants ./... -count=1
 echo "== commit throughput (smoke, race) =="
 go test -race -short -run 'TestCommitThroughputSmoke' ./internal/dist/ -count=1
 
+echo "== envelope codec fuzz (short) =="
+go test -run xxx -fuzz 'FuzzEnvelopeDecode' -fuzztime=10s ./internal/rpc/
+go test -run xxx -fuzz 'FuzzEnvelopeRoundTrip' -fuzztime=10s ./internal/rpc/
+
 echo "== envelope codec allocation regression =="
 go test -run 'TestEnvelopeCodecAllocs' ./internal/rpc/ -count=1 -v | grep -v '^=== RUN'
 
 echo "== rpc call path (bench smoke) =="
 go test -run xxx -bench 'BenchmarkRPCCall' -benchtime 10x -benchmem ./internal/tcpnet/
+
+echo "== perfbench (separate module: vet + tests against this tree) =="
+(cd perfbench && go vet ./... && go test ./...)
 
 echo "== loadgen (capacity smoke + report schema) =="
 loadgen_json="$(mktemp)"
