@@ -5,6 +5,9 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"maps"
+	"slices"
+	"strings"
 	"sync"
 	"time"
 
@@ -14,14 +17,38 @@ import (
 	"mca/internal/core"
 	"mca/internal/dist"
 	"mca/internal/ids"
+	"mca/internal/metrics"
 	"mca/internal/nameserver"
 	"mca/internal/netsim"
-	"mca/internal/trace"
 	"mca/internal/node"
 	"mca/internal/object"
 	"mca/internal/rpc"
 	"mca/internal/workload"
 )
+
+// roundCounts reads mca_dist_rounds_total as per-kind totals, both
+// outcomes summed.
+func roundCounts() map[string]float64 {
+	out := make(map[string]float64)
+	fam, _ := metrics.Default().Find("mca_dist_rounds_total")
+	for _, s := range fam.Samples {
+		out[s.Labels[1]] += s.Value // labels: kind, <kind>, outcome, <outcome>
+	}
+	return out
+}
+
+// roundDelta renders the per-kind round counts added since before,
+// sorted by kind, e.g. "commit=20 prepare=20".
+func roundDelta(before map[string]float64) string {
+	after := roundCounts()
+	var parts []string
+	for _, k := range slices.Sorted(maps.Keys(after)) {
+		if n := after[k] - before[k]; n > 0 {
+			parts = append(parts, fmt.Sprintf("%s=%.0f", k, n))
+		}
+	}
+	return strings.Join(parts, " ")
+}
 
 // kvResource hosts one integer register per node for the 2PC experiment.
 type kvResource struct {
@@ -141,8 +168,6 @@ func expTwoPhaseCommit(rep *report) error {
 			return err
 		}
 		coord := dist.NewManager(coordNode)
-		rec := trace.NewRecorder()
-		coord.OnRound = rec.ObserveRound
 		var targets []ids.NodeID
 		resources := make([]*kvResource, 2)
 		for i := range resources {
@@ -157,6 +182,7 @@ func expTwoPhaseCommit(rep *report) error {
 			mgr.RegisterResource("kv", resources[i])
 			targets = append(targets, nd.ID())
 		}
+		rounds := roundCounts()
 		res := workload.Run(1, 20, func(_, _ int) error {
 			return coord.Run(ctx, func(txn *dist.Txn) error {
 				for _, target := range targets {
@@ -171,7 +197,7 @@ func expTwoPhaseCommit(rep *report) error {
 		consistent := resources[0].value().Peek() == committed && resources[1].value().Peek() == committed
 		rep.rowf("  loss=%2.0f%%  commit p50=%8v  committed=%d/%d  rounds: %s", loss*100,
 			res.Latency.Percentile(50).Round(time.Microsecond), committed, res.Ops,
-			rec.RoundSummary())
+			roundDelta(rounds))
 		rep.check(fmt.Sprintf("loss=%.0f%%: committed actions applied at every participant", loss*100), consistent)
 		nw.Close()
 	}

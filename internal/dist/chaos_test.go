@@ -9,6 +9,7 @@ import (
 	"time"
 
 	"mca/internal/dist"
+	"mca/internal/flightrec"
 	"mca/internal/netsim"
 	"mca/internal/node"
 	"mca/internal/object"
@@ -295,5 +296,21 @@ func TestAbortWithCrashedParticipantsIsFlat(t *testing.T) {
 	// broadcast. Serial rounds would need ≥ 4 (1 prepare + 3 aborts).
 	if elapsed >= 3*callTimeout {
 		t.Fatalf("abort with three crashed participants took %v, want < %v (flat in the number of dead nodes)", elapsed, 3*callTimeout)
+	}
+
+	// The flight recorder holds both rounds (prepare, abort), each
+	// packing ok<<32 | participants with fewer than five ok.
+	rounds := 0
+	for _, ev := range flightrec.Snapshot() {
+		if ev.Kind != flightrec.KindRound || ev.A != uint64(txn.ID()) {
+			continue
+		}
+		rounds++
+		if ok, participants := ev.B>>32, ev.B&(1<<32-1); participants != 5 || ok >= participants {
+			t.Fatalf("round event B=%#x decodes to %d/%d ok, want 5 participants and fewer ok", ev.B, ok, participants)
+		}
+	}
+	if rounds < 2 {
+		t.Fatalf("flight recorder holds %d rounds of txn %v, want prepare and abort", rounds, txn.ID())
 	}
 }

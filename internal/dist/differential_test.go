@@ -20,7 +20,7 @@ import (
 type quickstartOutcome struct {
 	err      error
 	balances [3]int
-	kinds    map[string]int // span kind -> count, wal.flush excluded
+	kinds    map[string]int // span kind -> count
 	orphans  int
 	spans    []trace.Span
 }
@@ -67,12 +67,6 @@ func runQuickstartPath(t *testing.T, clk clock.Clock) quickstartOutcome {
 	tree := trace.Merge(out.spans)
 	out.orphans = len(tree.Orphans)
 	for _, s := range out.spans {
-		if s.Kind == "wal.flush" {
-			// Flush batching is a scheduling artefact, not program
-			// behaviour: two identical runs may group records into a
-			// different number of flushes. Everything else must match.
-			continue
-		}
 		out.kinds[s.Kind]++
 	}
 	return out
@@ -119,8 +113,7 @@ func TestFakeAndRealClockAgreeOnQuickstartPath(t *testing.T) {
 	}
 
 	// The virtual clock was never advanced, so every span in the fake
-	// run — including WAL flushes — must be stamped exactly at the
-	// epoch. A single diverging timestamp means some component on the
+	// run must be stamped exactly at the epoch. A single diverging timestamp means some component on the
 	// path read ambient time instead of its injected clock.
 	for _, s := range virt.spans {
 		if !s.Begin.Equal(epoch) {

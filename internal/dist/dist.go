@@ -103,11 +103,6 @@ type Manager struct {
 	// ignored. Set it only from tests, before driving transactions.
 	TestHooks Hooks
 
-	// OnRound, when non-nil, receives the outcome of every coordinator
-	// fan-out round (e.g. trace.Recorder.ObserveRound). Set before
-	// driving transactions.
-	OnRound trace.RoundObserver
-
 	mu   sync.Mutex
 	node *node.Node
 	// clk is the time source for recovery retries and round metrics,

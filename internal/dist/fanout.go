@@ -16,7 +16,6 @@ import (
 
 	"mca/internal/flightrec"
 	"mca/internal/ids"
-	"mca/internal/phase"
 	"mca/internal/trace"
 )
 
@@ -44,15 +43,16 @@ type roundResult struct {
 // called inline. When shortCircuit is set the first failure cancels
 // the shared round context: in-flight calls stop retransmitting and
 // return early, and not-yet-started calls are skipped (their result is
-// the cancelled context's error). The round's outcome is reported to
-// the manager's round observer under the given kind.
+// the cancelled context's error). The round's outcome feeds the
+// mca_dist_* metrics and the flight recorder under the given kind.
 //
 // tc, when valid, is the transaction's root span: the round runs under
 // its own child span, injected into the calls' context so every RPC of
-// the round links to it, and reported in the RoundEvent. The child is
-// derived only with a tracer installed — the tracer is what exports
-// the round span, and an exported-nowhere span on the wire would
-// orphan the participant side of the trace.
+// the round links to it, and recorded on the node's tracer as a
+// "round.<kind>" span. The child is derived only with a tracer
+// installed — the tracer is what exports the round span, and an
+// exported-nowhere span on the wire would orphan the participant side
+// of the trace.
 func (m *Manager) fanout(ctx context.Context, kind trace.RoundKind, txn ids.ActionID, tc trace.Context, targets []ids.NodeID, shortCircuit bool, call roundCall) []roundResult {
 	if len(targets) == 0 {
 		return nil
@@ -113,15 +113,13 @@ func (m *Manager) fanout(ctx context.Context, kind trace.RoundKind, txn ids.Acti
 			votedNo++
 		}
 	}
+	d := clk.Since(start)
 	roundParts.Add(uint64(len(targets)))
-	// Round phase: wall-clock of the whole fan-out (parallel legs
-	// overlap, so this is ≤ the sum of the per-peer rpc phases).
-	phase.Record(tc.TraceID, phase.Round, clk.Since(start))
 	if votedNo > 0 {
 		roundVoteNo.Add(uint64(votedNo))
 	}
 	if h := roundNs[kind]; h != nil {
-		h.ObserveDuration(clk.Since(start))
+		h.ObserveDuration(d)
 		if ok == len(targets) {
 			roundsOK[kind].Inc()
 		} else {
@@ -137,31 +135,21 @@ func (m *Manager) fanout(ctx context.Context, kind trace.RoundKind, txn ids.Acti
 		A:     uint64(txn),
 		B:     uint64(ok)<<32 | uint64(len(targets)),
 	})
-	if rec != nil || m.OnRound != nil {
-		var firstErr error
-		if n, err, failed := firstFailure(results); failed {
-			firstErr = fmt.Errorf("%v: %w", n, err)
+	if roundTC.Valid() {
+		outcome := trace.OutcomeCommitted
+		if ok < len(targets) {
+			outcome = trace.OutcomeAborted
 		}
-		ev := trace.RoundEvent{
-			Kind:         kind,
-			Txn:          txn,
-			Trace:        roundTC,
-			ParentSpan:   tc.SpanID,
-			Participants: len(targets),
-			OK:           ok,
-			Start:        start,
-			Duration:     clk.Since(start),
-			Err:          firstErr,
-		}
-		if !roundTC.Valid() {
-			ev.ParentSpan = 0
-		}
-		if rec != nil {
-			rec.ObserveRound(ev)
-		}
-		if obs := m.OnRound; obs != nil {
-			obs(ev)
-		}
+		rec.AddSpan(trace.Span{
+			Kind:         "round." + string(kind),
+			Label:        fmt.Sprintf("%s %d/%d", kind, ok, len(targets)),
+			TraceID:      roundTC.TraceID,
+			SpanID:       roundTC.SpanID,
+			ParentSpanID: tc.SpanID,
+			Outcome:      outcome,
+			Begin:        start,
+			End:          start.Add(d),
+		})
 	}
 	return results
 }

@@ -8,8 +8,9 @@ import (
 // Commit-protocol telemetry, exported under mca_dist_*. Every fan-out
 // round feeds these unconditionally — a round is already at least one
 // network round-trip, so a few striped-counter adds are noise — while
-// trace.RoundEvent observers remain opt-in. Handles are resolved per
-// RoundKind at init; the round path never touches a label map.
+// round spans are recorded only for traced transactions. Handles are
+// resolved per RoundKind at init; the round path never touches a label
+// map.
 var (
 	roundKinds = []trace.RoundKind{
 		trace.RoundPrepare, trace.RoundCommit, trace.RoundAbort,

@@ -21,6 +21,13 @@ type tracedCluster struct {
 
 func newTracedCluster(t *testing.T, cfg netsim.Config) *tracedCluster {
 	t.Helper()
+	return newSampledCluster(t, cfg, nil)
+}
+
+// newSampledCluster is newTracedCluster with every recorder sharing
+// the given tail sampler (nil: keep everything).
+func newSampledCluster(t *testing.T, cfg netsim.Config, sampler *trace.Sampler) *tracedCluster {
+	t.Helper()
 	nw := netsim.New(cfg)
 	t.Cleanup(nw.Close)
 
@@ -28,6 +35,7 @@ func newTracedCluster(t *testing.T, cfg netsim.Config) *tracedCluster {
 	tc := &tracedCluster{cluster: &cluster{net: nw}}
 	for i := 0; i < 3; i++ {
 		tc.recs[i] = trace.NewRecorder()
+		tc.recs[i].SetSampler(sampler)
 		nd, err := node.New(nw, node.WithRPCOptions(rpcOpts), node.WithTracer(tc.recs[i]))
 		if err != nil {
 			t.Fatal(err)
@@ -175,9 +183,9 @@ func TestRecoveryRoundKeepsOriginalTraceID(t *testing.T) {
 	// The original transaction's trace id, from the coordinator's
 	// prepare round.
 	var originalTrace uint64
-	for _, ev := range tc.recs[0].Rounds() {
-		if ev.Kind == trace.RoundPrepare {
-			originalTrace = ev.Trace.TraceID
+	for _, sp := range roundSpans(tc.recs[0]) {
+		if sp.Kind == "round."+string(trace.RoundPrepare) {
+			originalTrace = sp.TraceID
 		}
 	}
 	if originalTrace == 0 {
@@ -191,21 +199,24 @@ func TestRecoveryRoundKeepsOriginalTraceID(t *testing.T) {
 
 	deadline := time.Now().Add(5 * time.Second)
 	for {
-		var recovered *trace.RoundEvent
-		for _, ev := range tc.recs[0].Rounds() {
-			if ev.Kind == trace.RoundRecover && ev.OK == ev.Participants {
-				recovered = &ev
+		var recovered *trace.Span
+		var seen []string
+		for _, sp := range roundSpans(tc.recs[0]) {
+			seen = append(seen, sp.Label)
+			// Committed: every participant acknowledged the re-drive.
+			if sp.Kind == "round."+string(trace.RoundRecover) && sp.Outcome == trace.OutcomeCommitted {
+				recovered = &sp
 				break
 			}
 		}
 		if recovered != nil {
-			if recovered.Trace.TraceID != originalTrace {
-				t.Fatalf("recovery round trace id %x, want original %x", recovered.Trace.TraceID, originalTrace)
+			if recovered.TraceID != originalTrace {
+				t.Fatalf("recovery round trace id %x, want original %x", recovered.TraceID, originalTrace)
 			}
 			break
 		}
 		if time.Now().After(deadline) {
-			t.Fatalf("no successful recovery round recorded; rounds: %v", tc.recs[0].RoundSummary())
+			t.Fatalf("no successful recovery round recorded; rounds: %v", seen)
 		}
 		if _, err := tc.coord.RecoverPending(ctx); err != nil {
 			t.Fatal(err)
@@ -215,5 +226,32 @@ func TestRecoveryRoundKeepsOriginalTraceID(t *testing.T) {
 
 	if got := tc.balanceAt(t, 1); got != 90 {
 		t.Fatalf("P1 balance = %d, want 90", got)
+	}
+}
+
+// TestSamplerKeepingNothingLeavesRecordersEmpty is the bounded-buffer
+// check for tracing under load: with a shared sampler that keeps no
+// transaction, every span of every transaction — actions, rounds, RPCs
+// on all three nodes — must be discarded, so the recorders retain
+// nothing however many transactions run.
+func TestSamplerKeepingNothingLeavesRecordersEmpty(t *testing.T) {
+	sampler := trace.NewSampler(trace.SamplerConfig{Threshold: time.Hour})
+	tc := newSampledCluster(t, netsim.Config{}, sampler)
+	ctx := context.Background()
+
+	const transfers = 300
+	for i := 0; i < transfers; i++ {
+		if err := transfer(ctx, tc.cluster, 1+i%2, 2-i%2, 1); err != nil {
+			t.Fatalf("transfer %d: %v", i, err)
+		}
+	}
+	for i, rec := range tc.recs {
+		if spans := rec.Spans(); len(spans) != 0 {
+			kinds := map[string]int{}
+			for _, s := range spans {
+				kinds[s.Kind]++
+			}
+			t.Fatalf("node %d recorder retains %d spans after %d dropped transfers (by kind: %v)", i, len(spans), transfers, kinds)
+		}
 	}
 }

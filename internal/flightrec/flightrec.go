@@ -64,7 +64,7 @@ const (
 	// identifier.
 	KindRPCRetransmit
 	// KindRound is one commit-protocol fan-out round outcome. A is the
-	// transaction's action identifier, B packs participants<<32 | ok.
+	// transaction's action identifier, B packs ok<<32 | participants.
 	KindRound
 	// KindLockBlock is a lock request parking in a wait queue. A is the
 	// owner action identifier, B the object identifier.
@@ -74,9 +74,6 @@ const (
 	KindDeadlock
 	// KindCrash is a node crash. Node identifies the crashed node.
 	KindCrash
-	// KindSpan is a completed trace span recorded by higher layers. A is
-	// the span's action identifier when it has one.
-	KindSpan
 	// KindWALFlush is one write-ahead-log group-commit flush. A is the
 	// number of records forced, B the flush duration in nanoseconds.
 	KindWALFlush
@@ -99,8 +96,6 @@ func (k Kind) String() string {
 		return "deadlock"
 	case KindCrash:
 		return "crash"
-	case KindSpan:
-		return "span"
 	case KindWALFlush:
 		return "wal.flush"
 	default:

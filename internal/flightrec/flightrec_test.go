@@ -11,7 +11,7 @@ import (
 func TestRecordAndSnapshot(t *testing.T) {
 	r := New(64)
 	r.Record(Event{Kind: KindRPCServe, Node: 1, A: 42})
-	r.Record(Event{Kind: KindRound, Node: 1, Trace: 7, Span: 9, A: 3, B: 2<<32 | 2})
+	r.Record(Event{Kind: KindRound, Node: 1, Trace: 7, Span: 9, A: 3, B: 1<<32 | 3})
 	r.Record(Event{Kind: KindDeadlock, Node: 2, A: 5, B: 6})
 
 	events := r.Snapshot()
@@ -29,7 +29,7 @@ func TestRecordAndSnapshot(t *testing.T) {
 			round = &events[i]
 		}
 	}
-	if round == nil || round.Trace != 7 || round.Span != 9 || round.B != 2<<32|2 {
+	if round == nil || round.Trace != 7 || round.Span != 9 || round.B != 1<<32|3 {
 		t.Fatalf("round event fields lost: %+v", round)
 	}
 }

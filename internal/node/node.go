@@ -8,7 +8,6 @@ package node
 
 import (
 	"context"
-	"fmt"
 	"sync"
 
 	"mca/internal/action"
@@ -204,30 +203,6 @@ func NewOn(ep Endpoint, opts ...Option) (*Node, error) {
 	}
 	stable.WAL().SetNodeID(uint64(ep.ID()))
 	stable.WAL().SetClock(no.clk)
-	if n.tracer != nil {
-		// Export every WAL group-commit flush as an untraced root span
-		// (a flush serves records from many transactions, so it belongs
-		// to no single distributed trace), showing the amortised force
-		// the commit path now rides on.
-		rec := n.tracer
-		nodeID := ep.ID()
-		clk := n.clk
-		stable.WAL().SetFlushObserver(func(fi store.FlushInfo) {
-			outcome := trace.OutcomeOK
-			if fi.Err != nil {
-				outcome = trace.OutcomeError
-			}
-			end := clk.Now()
-			rec.AddSpan(trace.Span{
-				Kind:    "wal.flush",
-				Node:    nodeID,
-				Label:   fmt.Sprintf("wal.flush records=%d", fi.Records),
-				Outcome: outcome,
-				Begin:   end.Add(-fi.Duration),
-				End:     end,
-			})
-		})
-	}
 	if n.tracer != nil {
 		n.tracer.SetNode(ep.ID())
 		n.runtime = action.NewRuntime(action.WithClock(n.clk), action.WithObserver(n.tracer.Observe))

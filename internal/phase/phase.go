@@ -1,11 +1,11 @@
 // Package phase is the per-transaction phase ledger behind tail-latency
 // attribution: every layer that makes a transaction wait — the lock
 // manager (lock-wait), the WAL (force-wait), the RPC client and serve
-// pool (network and queueing), the 2PC fan-out (round gaps) — reports
-// the duration here, keyed by the transaction's distributed-trace
-// identity. trace attaches the accumulated breakdown to the
-// transaction's root span at export, so tracecat and the load harness
-// can say where a slow transaction's time went.
+// pool (network and queueing) — reports the duration here, keyed by
+// the transaction's distributed-trace identity. trace attaches the
+// accumulated breakdown to the transaction's root span at export, so
+// tracecat and the load harness can say where a slow transaction's
+// time went.
 //
 // The package sits at the bottom of the import graph on purpose: lock
 // and store are imported *by* action, which trace imports, so neither
@@ -49,15 +49,12 @@ const (
 	// Queue is time a request waited in the RPC serve pool between
 	// arrival and handler start.
 	Queue = "queue"
-	// Round is wall-clock time of the transaction's commit-protocol
-	// fan-out rounds (prepare/commit/abort), each round counted once.
-	Round = "round"
 )
 
 // Names lists every phase in presentation order.
-var Names = []string{Lock, Force, RPC, Serve, Queue, Round}
+var Names = []string{Lock, Force, RPC, Serve, Queue}
 
-const phaseCount = 6
+const phaseCount = 5
 
 func phaseIndex(name string) int {
 	switch name {
@@ -71,8 +68,6 @@ func phaseIndex(name string) int {
 		return 3
 	case Queue:
 		return 4
-	case Round:
-		return 5
 	default:
 		return -1
 	}

@@ -83,7 +83,7 @@ func TestLedgerTableBounded(t *testing.T) {
 	// the newest entries must survive.
 	const n = shardCount * maxLedgers * 2
 	for i := uint64(1); i <= n; i++ {
-		Record(i, Round, time.Millisecond)
+		Record(i, Queue, time.Millisecond)
 	}
 	total := 0
 	for i := range ledgerShards {

@@ -69,14 +69,6 @@ type walBatch struct {
 	err  error
 }
 
-// FlushInfo describes one completed WAL flush, for observers (the node
-// layer turns these into trace spans).
-type FlushInfo struct {
-	Records  int
-	Duration time.Duration
-	Err      error
-}
-
 // WAL is a per-node write-ahead log shared by every transaction on the
 // node. It shares fate with its owning Stable store: appends fail while
 // the store is crashed, and forced records survive crashes.
@@ -108,9 +100,6 @@ type WAL struct {
 	// flushes/records count completed work for tests and experiments.
 	flushes atomic.Uint64
 	records atomic.Uint64
-
-	obsMu sync.Mutex
-	obs   func(FlushInfo)
 
 	mu       sync.Mutex
 	index    map[ids.ActionID]Intention
@@ -154,13 +143,6 @@ func (w *WAL) SetForceDelay(d time.Duration) { w.forceDelay.Store(int64(d)) }
 // SetNodeID tags the WAL's flight-recorder events with the hosting
 // node's identifier.
 func (w *WAL) SetNodeID(id uint64) { w.nodeID.Store(id) }
-
-// SetFlushObserver installs a callback receiving every completed flush.
-func (w *WAL) SetFlushObserver(fn func(FlushInfo)) {
-	w.obsMu.Lock()
-	defer w.obsMu.Unlock()
-	w.obs = fn
-}
 
 // Stats returns the number of completed flushes and the number of
 // records they made durable. records/flushes is the achieved group
@@ -294,12 +276,6 @@ func (w *WAL) flush(b *walBatch) {
 		A:    uint64(len(b.entries)),
 		B:    uint64(d),
 	})
-	w.obsMu.Lock()
-	obs := w.obs
-	w.obsMu.Unlock()
-	if obs != nil {
-		obs(FlushInfo{Records: len(b.entries), Duration: d, Err: err})
-	}
 	b.err = err
 	close(b.done)
 }

@@ -16,6 +16,7 @@ import (
 	"strings"
 	"time"
 
+	"mca/internal/colour"
 	"mca/internal/ids"
 )
 
@@ -210,10 +211,10 @@ func spanName(s Span) string {
 }
 
 // Render draws the merged tree as a cross-node ASCII timeline in the
-// style of the paper's figs 14/15: one row per span, indented by causal
-// depth, prefixed with the owning node, with a bar spanning begin to
-// end on a global time scale. Orphans, if any, render in a trailing
-// section.
+// style of the paper's figs 1-15: one row per span, indented by causal
+// depth, prefixed with the owning node and followed by the action's
+// colour set, with a bar spanning begin to end on a global time scale.
+// Orphans, if any, render in a trailing section.
 func (t *Tree) Render(width int) string {
 	if width < 20 {
 		width = 20
@@ -283,6 +284,9 @@ func (t *Tree) Render(width int) string {
 			where = s.Node.String()
 		}
 		name := strings.Repeat("  ", depth) + spanName(s)
+		if len(s.Colours) > 0 {
+			name += " " + colour.NewSet(s.Colours...).String()
+		}
 		fmt.Fprintf(&sb, "%-8s %-32s %s\n", where, name, string(line))
 	}
 	for _, r := range t.Roots {

@@ -56,9 +56,9 @@ type Span struct {
 	End time.Time `json:"end,omitzero"`
 	// Phases is the transaction's accumulated wait breakdown in
 	// nanoseconds (internal/phase), attached to trace-root spans at
-	// export: lock-wait, WAL force-wait, rpc client/server time, serve
-	// queueing and round wall time. Raw sums overlap; tracecat's
-	// -attrib derives the exclusive view.
+	// export: lock-wait, WAL force-wait, rpc client/server time and
+	// serve queueing. Raw sums overlap; tracecat's -attrib derives the
+	// exclusive view.
 	Phases map[string]int64 `json:"phases,omitempty"`
 }
 
@@ -85,9 +85,9 @@ func (s Span) Context() Context {
 // Distributed-trace identities are resolved on the way out: actions
 // bound with StartTrace/JoinTrace carry their identity, and their
 // local descendants inherit the TraceID with fresh span identifiers
-// (persisted, so repeated exports agree). Synthetic spans (AddSpan)
-// and traced commit-protocol rounds (ObserveRound events with a valid
-// Trace) are appended after the action spans, in the same time order.
+// (persisted, so repeated exports agree). Synthetic spans (AddSpan:
+// commit-protocol rounds, RPC calls) are appended after the action
+// spans, in arrival order.
 func (r *Recorder) Spans() []Span {
 	r.mu.Lock()
 	defer r.mu.Unlock()
@@ -182,26 +182,6 @@ func (r *Recorder) Spans() []Span {
 		s.TraceID, s.SpanID, s.ParentSpanID = b.tc.TraceID, b.tc.SpanID, b.parent
 	}
 
-	// Traced commit-protocol rounds become synthetic spans.
-	for _, ev := range r.rounds {
-		if !ev.Trace.Valid() {
-			continue
-		}
-		outcome := OutcomeCommitted
-		if ev.Err != nil {
-			outcome = OutcomeAborted
-		}
-		spans = append(spans, Span{
-			Kind:         "round." + string(ev.Kind),
-			Label:        fmt.Sprintf("%s %d/%d", ev.Kind, ev.OK, ev.Participants),
-			TraceID:      ev.Trace.TraceID,
-			SpanID:       ev.Trace.SpanID,
-			ParentSpanID: ev.ParentSpan,
-			Outcome:      outcome,
-			Begin:        ev.Start,
-			End:          ev.Start.Add(ev.Duration),
-		})
-	}
 	spans = append(spans, r.extras...)
 	if r.node != 0 {
 		for i := range spans {

@@ -104,11 +104,12 @@ func TestRenderUnknownCompletion(t *testing.T) {
 	}
 }
 
-// TestObserveRoundConcurrent hammers ObserveRound from many goroutines
-// while readers aggregate, for the race detector.
-func TestObserveRoundConcurrent(t *testing.T) {
+// TestAddSpanConcurrent hammers AddSpan from many goroutines while
+// readers export and render, for the race detector.
+func TestAddSpanConcurrent(t *testing.T) {
 	rec := trace.NewRecorder()
 	const writers, perWriter = 8, 200
+	base := time.Now()
 
 	var wg sync.WaitGroup
 	for w := 0; w < writers; w++ {
@@ -116,33 +117,43 @@ func TestObserveRoundConcurrent(t *testing.T) {
 		go func() {
 			defer wg.Done()
 			for i := 0; i < perWriter; i++ {
-				rec.ObserveRound(trace.RoundEvent{
-					Kind:         trace.RoundPrepare,
-					Participants: 3,
-					OK:           3,
+				rec.AddSpan(trace.Span{
+					Kind:    "round.prepare",
+					Label:   "prepare 3/3",
+					TraceID: 1,
+					SpanID:  uint64(w*perWriter + i + 1),
+					Outcome: trace.OutcomeCommitted,
+					Begin:   base,
+					End:     base.Add(time.Millisecond),
 				})
 			}
 		}()
 	}
-	// Concurrent readers exercise the summary paths mid-stream.
+	// Concurrent readers exercise the export and render paths
+	// mid-stream.
 	for r := 0; r < 2; r++ {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
 			for i := 0; i < 50; i++ {
-				_ = rec.RoundSummary().String()
-				_ = rec.Rounds()
+				_ = rec.Spans()
+				_ = rec.Render(40)
 			}
 		}()
 	}
 	wg.Wait()
 
-	sum := rec.RoundSummary()
-	if sum[trace.RoundPrepare] != writers*perWriter {
-		t.Fatalf("prepare rounds = %d, want %d", sum[trace.RoundPrepare], writers*perWriter)
+	spans := rec.Spans()
+	if len(spans) != writers*perWriter {
+		t.Fatalf("spans = %d, want %d", len(spans), writers*perWriter)
 	}
-	if got := sum.String(); got != "prepare=1600" {
-		t.Fatalf("RoundSummary.String() = %q", got)
+	for _, s := range spans {
+		if s.Kind != "round.prepare" {
+			t.Fatalf("span kind = %q, want round.prepare", s.Kind)
+		}
+	}
+	if rows := strings.Count(rec.Render(40), "prepare 3/3"); rows != writers*perWriter {
+		t.Fatalf("rendered rows = %d, want %d", rows, writers*perWriter)
 	}
 }
 

@@ -36,50 +36,24 @@ const (
 	RoundStructure RoundKind = "structure"
 )
 
-// RoundEvent is the outcome of one coordinator fan-out round.
-type RoundEvent struct {
-	Kind RoundKind
-	// Txn is the distributed action (or structure) the round belongs
-	// to.
-	Txn ids.ActionID
-	// Trace is the round's own span identity within the distributed
-	// trace, and ParentSpan the span that caused the round (the
-	// transaction's root span). Zero when the transaction is untraced.
-	Trace      Context
-	ParentSpan uint64
-	// Participants is how many nodes the round addressed, OK how many
-	// answered successfully (for prepare: voted yes).
-	Participants int
-	OK           int
-	Start        time.Time
-	Duration     time.Duration
-	// Err is the round's first failure, nil when every call succeeded.
-	Err error
-}
-
-// RoundObserver consumes commit-protocol round outcomes; install one on
-// dist.Manager to thread them into a Recorder.
-type RoundObserver func(RoundEvent)
-
 // Recorder collects runtime events. Install with:
 //
 //	rec := trace.NewRecorder()
 //	rt := action.NewRuntime(action.WithObserver(rec.Observe))
 //
-// Commit-protocol rounds are recorded separately via ObserveRound
-// (install rec.ObserveRound on a dist.Manager).
+// Other timed work — commit-protocol rounds, RPC calls — arrives as
+// finished spans through AddSpan (node.WithTracer wires both).
 type Recorder struct {
 	mu     sync.Mutex
 	events []action.Event
-	rounds []RoundEvent
 	labels map[ids.ActionID]string
 	// node stamps exported spans with the owning node (SetNode).
 	node ids.NodeID
 	// binds maps actions to their distributed-trace identity
 	// (StartTrace/JoinTrace, plus lazy inheritance at export time).
 	binds map[ids.ActionID]traceBinding
-	// extras are synthetic spans recorded directly (rounds already
-	// flow through ObserveRound; RPC client/server spans land here).
+	// extras are synthetic spans recorded directly: commit-protocol
+	// rounds and RPC client/server calls.
 	extras []Span
 
 	// Tail sampling (SetSampler). While a trace's root is undecided
@@ -100,7 +74,6 @@ type Recorder struct {
 // txnBuffer holds one undecided transaction's observations.
 type txnBuffer struct {
 	events []action.Event
-	rounds []RoundEvent
 	extras []Span
 	// rootBegin is the begin time of the locally-started trace root
 	// (StartTrace), the basis of the sampling decision's duration.
@@ -256,7 +229,6 @@ func (r *Recorder) drainLocked(trace uint64, keep bool) {
 	delete(r.pending, trace)
 	if keep {
 		r.events = append(r.events, buf.events...)
-		r.rounds = append(r.rounds, buf.rounds...)
 		r.extras = append(r.extras, buf.extras...)
 	} else {
 		phase.Discard(trace)
@@ -295,9 +267,10 @@ func (r *Recorder) ContextOf(id ids.ActionID) (Context, bool) {
 	return b.tc, ok
 }
 
-// AddSpan records a synthetic (non-action) span — an RPC call or any
-// other timed unit the action runtime does not know about. The span is
-// exported alongside the reconstructed action spans.
+// AddSpan records a synthetic (non-action) span — a commit-protocol
+// round, an RPC call or any other timed unit the action runtime does
+// not know about. The span is exported alongside the reconstructed
+// action spans and, under a sampler, follows its trace's decision.
 func (r *Recorder) AddSpan(s Span) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
@@ -374,71 +347,6 @@ func (r *Recorder) Observe(ev action.Event) {
 	}
 }
 
-// ObserveRound implements RoundObserver: it records one commit-protocol
-// round outcome.
-func (r *Recorder) ObserveRound(ev RoundEvent) {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	tid := ev.Trace.TraceID
-	if r.sampler == nil || tid == 0 {
-		r.rounds = append(r.rounds, ev)
-		return
-	}
-	if keep, ok := r.sampler.Decision(tid); ok {
-		r.drainLocked(tid, keep)
-		if keep {
-			r.rounds = append(r.rounds, ev)
-		}
-		return
-	}
-	buf := r.bufferLocked(tid)
-	buf.rounds = append(buf.rounds, ev)
-}
-
-// Rounds returns a copy of the recorded round outcomes in arrival
-// order.
-func (r *Recorder) Rounds() []RoundEvent {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	out := make([]RoundEvent, len(r.rounds))
-	copy(out, r.rounds)
-	return out
-}
-
-// RoundSummary is a per-kind round count. It prints deterministically:
-// map iteration order would otherwise leak into test output and
-// examples.
-type RoundSummary map[RoundKind]int
-
-// String renders the counts sorted by kind name, e.g.
-// "commit=2 prepare=2".
-func (s RoundSummary) String() string {
-	kinds := make([]string, 0, len(s))
-	for k := range s {
-		kinds = append(kinds, string(k))
-	}
-	sort.Strings(kinds)
-	var sb strings.Builder
-	for i, k := range kinds {
-		if i > 0 {
-			sb.WriteByte(' ')
-		}
-		fmt.Fprintf(&sb, "%s=%d", k, s[RoundKind(k)])
-	}
-	return sb.String()
-}
-
-// RoundSummary returns per-kind round counts, for quick assertions.
-func (r *Recorder) RoundSummary() RoundSummary {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	out := make(RoundSummary)
-	for _, ev := range r.rounds {
-		out[ev.Kind]++
-	}
-	return out
-}
-
 // Label names an action in the rendered timeline (default: its id).
 func (r *Recorder) Label(id ids.ActionID, name string) {
 	r.mu.Lock()
@@ -455,147 +363,17 @@ func (r *Recorder) Events() []action.Event {
 	return out
 }
 
-// span is one action's reconstructed lifetime.
-type span struct {
-	id       ids.ActionID
-	parent   ids.ActionID
-	colours  string
-	begin    time.Time
-	end      time.Time
-	ended    bool
-	aborted  bool
-	children []*span
-}
-
-// Render draws the recorded actions as an ASCII timeline. Each row is
-// one action: `=` spans its lifetime, `C` marks commit, `A` marks
+// Render draws the recorded spans as an ASCII timeline: Merge the
+// recorder's own export and render the tree (see Tree.Render). Each
+// row is one span: `=` spans its lifetime, `C` marks commit, `A` marks
 // abort, `?` an action still active when rendering. Rows are indented
 // by nesting depth and ordered by begin time.
 func (r *Recorder) Render(width int) string {
-	if width < 20 {
-		width = 20
-	}
-	r.mu.Lock()
-	events := make([]action.Event, len(r.events))
-	copy(events, r.events)
-	labels := make(map[ids.ActionID]string, len(r.labels))
-	for k, v := range r.labels {
-		labels[k] = v
-	}
-	r.mu.Unlock()
-
-	if len(events) == 0 {
-		return "(no events)\n"
-	}
-
-	spans := make(map[ids.ActionID]*span)
-	var roots []*span
-	var minT, maxT time.Time
-	for _, ev := range events {
-		if minT.IsZero() || ev.Time.Before(minT) {
-			minT = ev.Time
-		}
-		if ev.Time.After(maxT) {
-			maxT = ev.Time
-		}
-		switch ev.Kind {
-		case action.EventBegin:
-			if _, dup := spans[ev.Action]; dup {
-				continue // duplicate begin for the same id: keep the first
-			}
-			s := &span{
-				id:      ev.Action,
-				parent:  ev.Parent,
-				colours: ev.Colours.String(),
-				begin:   ev.Time,
-			}
-			spans[ev.Action] = s
-			// A malformed event naming the action as its own parent
-			// would make draw() recurse forever; treat it as a root.
-			if parent, ok := spans[ev.Parent]; ok && ev.Parent != ev.Action {
-				parent.children = append(parent.children, s)
-			} else {
-				roots = append(roots, s)
-			}
-		case action.EventCommit, action.EventAbort:
-			s, ok := spans[ev.Action]
-			if !ok {
-				// Commit/abort for an action whose begin was never
-				// recorded (observer attached mid-run): synthesize a
-				// zero-length root span instead of dropping the event.
-				s = &span{id: ev.Action, colours: ev.Colours.String(), begin: ev.Time}
-				spans[ev.Action] = s
-				roots = append(roots, s)
-			}
-			s.end = ev.Time
-			s.ended = true
-			s.aborted = ev.Kind == action.EventAbort
-		}
-	}
-
-	total := maxT.Sub(minT)
-	if total <= 0 {
-		total = time.Nanosecond
-	}
-	col := func(t time.Time) int {
-		c := int(float64(t.Sub(minT)) / float64(total) * float64(width-1))
-		if c < 0 {
-			c = 0
-		}
-		if c >= width {
-			c = width - 1
-		}
-		return c
-	}
-
-	var sb strings.Builder
-	var draw func(s *span, depth int)
-	draw = func(s *span, depth int) {
-		name := labels[s.id]
-		if name == "" {
-			name = s.id.String()
-		}
-		start := col(s.begin)
-		var endCol int
-		endMark := byte('?')
-		if s.ended {
-			endCol = col(s.end)
-			if s.aborted {
-				endMark = 'A'
-			} else {
-				endMark = 'C'
-			}
-		} else {
-			endCol = width - 1
-		}
-		line := make([]byte, width)
-		for i := range line {
-			line[i] = ' '
-		}
-		for i := start; i <= endCol && i < width; i++ {
-			line[i] = '='
-		}
-		line[start] = '|'
-		if endCol > start || s.ended {
-			line[endCol] = endMark
-		}
-		fmt.Fprintf(&sb, "%-24s %s\n", strings.Repeat("  ", depth)+name+" "+s.colours, string(line))
-		sort.Slice(s.children, func(i, j int) bool {
-			return s.children[i].begin.Before(s.children[j].begin)
-		})
-		for _, c := range s.children {
-			draw(c, depth+1)
-		}
-	}
-	sort.Slice(roots, func(i, j int) bool { return roots[i].begin.Before(roots[j].begin) })
-	for _, root := range roots {
-		draw(root, 0)
-	}
-	return sb.String()
+	return Merge(r.Spans()).Render(width)
 }
 
-// Summary is a per-kind event count. Like RoundSummary it prints
-// deterministically.
+// Summary is a per-kind event count. It prints deterministically: map
+// iteration order would otherwise leak into test output and examples.
 type Summary map[action.EventKind]int
 
 // String renders the counts in lifecycle order (begin, commit, abort),

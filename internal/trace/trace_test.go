@@ -101,6 +101,10 @@ func TestRenderTimelineShape(t *testing.T) {
 	out := rec.Render(60)
 	t.Logf("\n%s", out)
 
+	// Rows are "<node> <indented name and colours> <bar>": the name
+	// column starts after the 8-wide node column, the bar after the
+	// 32-wide name column.
+	const nameCol, barCol = 9, 42
 	lines := strings.Split(strings.TrimRight(out, "\n"), "\n")
 	if len(lines) != 3 {
 		t.Fatalf("timeline rows = %d, want 3:\n%s", len(lines), out)
@@ -109,8 +113,14 @@ func TestRenderTimelineShape(t *testing.T) {
 		t.Fatalf("first row = %q", lines[0])
 	}
 	// Constituents are indented under the container.
-	if !strings.HasPrefix(lines[1], "  ") || !strings.HasPrefix(lines[2], "  ") {
+	if !strings.HasPrefix(lines[1][nameCol:], "  ") || !strings.HasPrefix(lines[2][nameCol:], "  ") {
 		t.Fatalf("constituents not indented:\n%s", out)
+	}
+	// Every row carries its action's colour set.
+	for _, l := range lines {
+		if !strings.Contains(l[:barCol], "{c") {
+			t.Fatalf("row without colour set: %q", l)
+		}
 	}
 	// All three committed.
 	for _, l := range lines {
@@ -119,8 +129,8 @@ func TestRenderTimelineShape(t *testing.T) {
 		}
 	}
 	// B ends before C begins (sequential constituents).
-	bBar := lines[1][24:]
-	cBar := lines[2][24:]
+	bBar := lines[1][barCol:]
+	cBar := lines[2][barCol:]
 	bEnd := strings.LastIndexByte(bBar, 'C')
 	cStart := strings.IndexByte(cBar, '|')
 	if bEnd == -1 || cStart == -1 || bEnd > cStart {
@@ -144,7 +154,7 @@ func TestRenderAbortMark(t *testing.T) {
 
 func TestRenderEmpty(t *testing.T) {
 	rec := trace.NewRecorder()
-	if out := rec.Render(40); !strings.Contains(out, "no events") {
+	if out := rec.Render(40); !strings.Contains(out, "no spans") {
 		t.Fatalf("empty render = %q", out)
 	}
 }
